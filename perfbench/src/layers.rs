@@ -387,12 +387,18 @@ pub fn run(prep: &Prepared, seconds: f64) -> Result<LayerRun, String> {
     values.insert("engine.phase_us_p50", p50);
     values.insert("engine.phase_us_p95", p95);
 
-    // A metric of a layer the workload does not run (a second FORALL,
-    // checkpoints) reads 0.
-    let metrics = LAYER_METRICS
-        .iter()
-        .map(|&(name, unit)| (name, values.get(name).copied().unwrap_or(0.0), unit))
-        .collect();
+    // The second FORALL's metrics read 0 on a one-loop workload; any other
+    // metric left unmeasured is a fault of this benchmark.
+    let one_loop = !prep.inputs.loop_labels().contains(&"L2");
+    let mut metrics = Vec::with_capacity(LAYER_METRICS.len());
+    for &(name, unit) in LAYER_METRICS {
+        let value = match values.get(name) {
+            Some(&v) => v,
+            None if one_loop && name.contains("L2") => 0.0,
+            None => return Err(format!("per-layer metric {name} was not measured")),
+        };
+        metrics.push((name, value, unit));
+    }
     Ok(LayerRun {
         metrics,
         rounds,

@@ -124,14 +124,24 @@ struct Report {
 }
 
 impl Report {
+    /// A non-finite figure is a failed measurement: it makes the run
+    /// incorrect.
+    fn reject_non_finite(&mut self) {
+        for (name, value, _) in &self.metrics {
+            if !value.is_finite() {
+                eprintln!("metric {name} is not finite ({value})");
+                self.correct = false;
+            }
+        }
+    }
+
     fn json(&self) -> String {
         let metrics: Vec<String> = self
             .metrics
             .iter()
             .map(|(name, value, unit)| {
-                // JSON has no NaN or infinity: a non-finite figure is a
-                // failed measurement and reads 0 (the run is then marked
-                // incorrect by the caller).
+                // JSON has no NaN or infinity; such a run is already marked
+                // incorrect by `reject_non_finite`.
                 let value = if value.is_finite() { *value } else { 0.0 };
                 format!("\"{name}\": {{\"value\": {value:?}, \"unit\": \"{unit}\"}}")
             })
@@ -305,7 +315,8 @@ fn main() -> ExitCode {
         end_to_end(&prep, args.seconds, || child_round(&args.raw))
     };
     match report {
-        Ok(r) => {
+        Ok(mut r) => {
+            r.reject_non_finite();
             println!("{}", r.json());
             if r.correct {
                 ExitCode::SUCCESS
@@ -343,6 +354,22 @@ mod tests {
             assert!(traced.correct, "{} traced", w.name());
             assert_eq!(traced.metrics.len(), layers::LAYER_METRICS.len());
         }
+    }
+
+    #[test]
+    fn a_non_finite_metric_makes_the_run_incorrect() {
+        let mut r = Report {
+            correct: true,
+            attempted: 1,
+            failed: 0,
+            metrics: vec![
+                ("sweep_ms", 1.5, "ms"),
+                ("lang.vs_handcoded", f64::INFINITY, "ratio"),
+            ],
+        };
+        r.reject_non_finite();
+        assert!(!r.correct);
+        assert!(r.json().starts_with("{\"correct\": false"));
     }
 
     #[test]
